@@ -1,10 +1,12 @@
-//! FIG15 — sublinear ranked top-k: block-max pruning + bounded collection.
+//! FIG15 — ranked top-k: bounded collection against the exhaustive path.
 //!
 //! Not a figure from the paper: this measures the reproduction's own
-//! top-k executor (PR "rework the ranked read path"). The claim under
-//! test: a ranked query with `limit=k` costs O(k) materialization — not
-//! O(matches) — while returning *precisely* the hits the exhaustive
-//! sort-everything path would return. Three phases:
+//! ranked read path, which scores every posting once
+//! (`IndexSnapshot::search_bm25`) and then streams the scored contexts
+//! through the engine's `limit`-entry heap. The claim under test: a ranked
+//! query with `limit=k` materializes O(k) sections — not O(matches) —
+//! while returning *precisely* the hits the exhaustive sort-everything
+//! path would return. Three phases:
 //!
 //! 1. **Byte identity** — every ranked query shape at k ∈ {10, 100, 1000}
 //!    answers byte-identically with pruning on and off, across a plain
@@ -66,7 +68,7 @@ fn build_corpus(docs: usize, seed: u64) -> Vec<Document> {
 }
 
 /// Cache/memo off (as in FIG14): warmth would mask the collect path this
-/// figure is about. `pruned` toggles the top-k executor — `false` is the
+/// figure is about. `pruned` toggles bounded collection — `false` is the
 /// exhaustive score-sort-truncate baseline.
 fn options(pruned: bool) -> NetMarkOptions {
     NetMarkOptions {
@@ -123,7 +125,7 @@ fn build_router(scratch: &TempDir, tag: &str, corpus: &[Document], pruned: bool)
 fn main() {
     banner(
         "FIG15",
-        "sublinear ranked top-k (block-max pruning + bounded collection)",
+        "ranked top-k (bounded collection)",
         "a ranked limit=k query materializes O(k) hits behind a score \
          threshold that propagates through shard scatter and federation \
          pushdown — byte-identical to the exhaustive ranking at any k",
@@ -302,12 +304,8 @@ fn main() {
     }
     let qs = plain_p.stats().expect("stats").query;
     println!(
-        "pruned-engine counters: {} heap evictions, {} postings decoded of {} \
-         ({} blocks skipped)",
-        qs.topk.heap_evictions,
-        qs.topk.postings_decoded,
-        qs.topk.postings_total,
-        qs.topk.blocks_skipped
+        "pruned-engine counters: {} heap evictions",
+        qs.heap_evictions
     );
 
     // ---- Phase 3: latency vs corpus size ---------------------------------

@@ -37,7 +37,7 @@ use crate::metrics::{QueryMetrics, QueryStats, QueryTrace};
 use crate::store::{DocId, NodeStore, StoreView};
 use netmark_model::NodeType;
 use netmark_relstore::RowId;
-use netmark_textindex::{IndexSnapshot, SegmentedIndex, TextIndexReader, TextQuery};
+use netmark_textindex::{IndexSnapshot, SegmentedIndex, TextQuery};
 use netmark_xdb::{Hit, MatchMode, ResultSet, XdbQuery};
 use parking_lot::{Condvar, Mutex};
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
@@ -456,10 +456,8 @@ impl QueryEngine {
         {
             if let Some(terms) = &q.content {
                 if netmark_textindex::query_terms(terms).len() == 1 {
-                    let t = Instant::now();
                     let (scores, candidates) =
-                        context_scores_counted(view, &*snap, Some((&self.memo, gen)), terms)?;
-                    trace.index_lookup += t.elapsed();
+                        context_scores(view, &snap, Some((&self.memo, gen)), terms, trace)?;
                     trace.candidates = candidates;
                     let ctx_rowids: Vec<RowId> = scores.keys().copied().collect();
                     return collect_hits(view, q, ctx_rowids, Some(&scores), true, trace);
@@ -481,7 +479,7 @@ impl QueryEngine {
                 trace.context_walk += t.elapsed();
                 out
             }
-            (Some(label), None) => context_rowids(view, &*snap, label, &q.exact_contexts, trace)?,
+            (Some(label), None) => context_rowids(view, &snap, label, &q.exact_contexts, trace)?,
             (None, Some(terms)) => {
                 let (ctxs, cand) =
                     self.content_contexts(view, &snap, terms, q.match_mode, gen, trace)?;
@@ -489,7 +487,7 @@ impl QueryEngine {
                 ctxs
             }
             (Some(label), Some(terms)) => {
-                let labelled = context_rowids(view, &*snap, label, &q.exact_contexts, trace)?;
+                let labelled = context_rowids(view, &snap, label, &q.exact_contexts, trace)?;
                 let (with_content, cand) =
                     self.content_contexts(view, &snap, terms, q.match_mode, gen, trace)?;
                 trace.candidates = cand;
@@ -505,12 +503,9 @@ impl QueryEngine {
         // only reorders it. Scoring reuses the same pinned snapshot + view
         // pair, so scores and matches describe one committed state.
         let scores = match (&q.content, q.ranked()) {
-            (Some(terms), true) => Some(context_scores(
-                view,
-                &*snap,
-                Some((&self.memo, gen)),
-                terms,
-            )?),
+            (Some(terms), true) => {
+                Some(context_scores(view, &snap, Some((&self.memo, gen)), terms, trace)?.0)
+            }
             _ => None,
         };
         collect_hits(
@@ -542,7 +537,7 @@ impl QueryEngine {
             }
             _ => content_contexts_serial(
                 view,
-                &**snap,
+                snap,
                 Some((&self.memo, gen)),
                 terms,
                 &term_list,
@@ -615,12 +610,11 @@ impl QueryEngine {
 // Shared stage functions (used by the engine's serial and parallel paths)
 
 /// Serial per-term execution: postings fetch, context mapping, running
-/// intersection with early exit. Generic over the index shape so engine
-/// executions (snapshots) and direct-index tests share one body; the store
-/// side always reads through the caller's pinned view.
-pub(crate) fn content_contexts_serial<I: TextIndexReader + ?Sized>(
+/// intersection with early exit. The store side always reads through the
+/// caller's pinned view.
+pub(crate) fn content_contexts_serial(
     view: &StoreView,
-    index: &I,
+    index: &IndexSnapshot,
     memo: Option<(&CtxMemo, i64)>,
     terms: &str,
     term_list: &[String],
@@ -676,20 +670,7 @@ pub(crate) fn map_to_contexts(
     let mut seen: HashSet<RowId> = HashSet::new();
     let mut out: Vec<RowId> = Vec::new();
     for &nid in node_ids {
-        let Some((rid, _)) = view.node_by_id(nid)? else {
-            continue; // tombstoned in index but not in this store view
-        };
-        let ctx = match memo.and_then(|(m, gen)| m.get(gen, rid)) {
-            Some(cached) => cached,
-            None => {
-                let walked = view.governing_context(rid)?.map(|(c, _)| c);
-                if let Some((m, gen)) = memo {
-                    m.put(gen, rid, walked);
-                }
-                walked
-            }
-        };
-        if let Some(c) = ctx {
+        if let Some(c) = governing_context(view, memo, nid)? {
             if seen.insert(c) {
                 out.push(c);
             }
@@ -698,14 +679,35 @@ pub(crate) fn map_to_contexts(
     Ok(out)
 }
 
+/// The governing context rowid of node `nid`, consulting the memo when one
+/// is given; `None` when the node is absent from this store view
+/// (tombstoned in the index but not here) or has no governing context.
+fn governing_context(
+    view: &StoreView,
+    memo: Option<(&CtxMemo, i64)>,
+    nid: u64,
+) -> Result<Option<RowId>> {
+    let Some((rid, _)) = view.node_by_id(nid)? else {
+        return Ok(None);
+    };
+    if let Some(cached) = memo.and_then(|(m, gen)| m.get(gen, rid)) {
+        return Ok(cached);
+    }
+    let walked = view.governing_context(rid)?.map(|(c, _)| c);
+    if let Some((m, gen)) = memo {
+        m.put(gen, rid, walked);
+    }
+    Ok(walked)
+}
+
 /// Context rowids matching a `Context=` specification. A `|`-separated
 /// label list unions ("in NETMARK we have to specify two Context queries
 /// (one for 'Budget' and one for 'Cost Details')" — §4; the union form
 /// issues them as one client-side query, still with zero mapping
 /// artifacts).
-pub(crate) fn context_rowids<I: TextIndexReader + ?Sized>(
+pub(crate) fn context_rowids(
     view: &StoreView,
-    index: &I,
+    index: &IndexSnapshot,
     spec: &str,
     exact_only: &[String],
     trace: &mut QueryTrace,
@@ -758,47 +760,29 @@ pub(crate) fn context_rowids<I: TextIndexReader + ?Sized>(
 /// matching node's score is attributed to the context that would own its
 /// hit, summing when a section contains several scoring nodes. Uses the
 /// same memoized governing-context walk as the match path, so score
-/// attribution can never disagree with hit attribution.
-pub(crate) fn context_scores<I: TextIndexReader + ?Sized>(
+/// attribution can never disagree with hit attribution. Also returns the
+/// scored-node count, which the single-term fast path reports as the
+/// candidate count the match walk would have reported (one scored node per
+/// term posting, both paths filtered by the same index tombstones).
+pub(crate) fn context_scores(
     view: &StoreView,
-    index: &I,
+    index: &IndexSnapshot,
     memo: Option<(&CtxMemo, i64)>,
     terms: &str,
-) -> Result<HashMap<RowId, f64>> {
-    Ok(context_scores_counted(view, index, memo, terms)?.0)
-}
-
-/// [`context_scores`] plus the scored-node count — for the single-term
-/// fast path, which reports it as the candidate count the match walk
-/// would have reported (one scored node per term posting, both paths
-/// filtered by the same index tombstones).
-pub(crate) fn context_scores_counted<I: TextIndexReader + ?Sized>(
-    view: &StoreView,
-    index: &I,
-    memo: Option<(&CtxMemo, i64)>,
-    terms: &str,
+    trace: &mut QueryTrace,
 ) -> Result<(HashMap<RowId, f64>, usize)> {
-    let mut out: HashMap<RowId, f64> = HashMap::new();
+    let t = Instant::now();
     let scored = index.search_bm25(terms);
+    trace.index_lookup += t.elapsed();
     let candidates = scored.len();
+    let t = Instant::now();
+    let mut out: HashMap<RowId, f64> = HashMap::new();
     for (nid, score) in scored {
-        let Some((rid, _)) = view.node_by_id(nid)? else {
-            continue; // tombstoned in index but not in this store view
-        };
-        let ctx = match memo.and_then(|(m, gen)| m.get(gen, rid)) {
-            Some(cached) => cached,
-            None => {
-                let walked = view.governing_context(rid)?.map(|(c, _)| c);
-                if let Some((m, gen)) = memo {
-                    m.put(gen, rid, walked);
-                }
-                walked
-            }
-        };
-        if let Some(c) = ctx {
+        if let Some(c) = governing_context(view, memo, nid)? {
             *out.entry(c).or_default() += score;
         }
     }
+    trace.context_walk += t.elapsed();
     Ok((out, candidates))
 }
 
@@ -1009,7 +993,7 @@ fn collect_hits_bounded(
             // placed it inside the truncation boundary.
             heap.pop();
             heap.push(cand);
-            trace.topk.heap_evictions += 1;
+            trace.heap_evictions += 1;
         }
     }
     let mut winners = heap.into_vec();
@@ -1280,11 +1264,8 @@ mod tests {
         // either way.
         let q = XdbQuery::content("engine").with_rank(netmark_xdb::RankMode::Bm25);
         assert_eq!(pruned.execute(&q).unwrap(), exhaustive.execute(&q).unwrap());
-        assert!(
-            pruned.stats().topk.heap_evictions > 0,
-            "k=1 over 8 docs evicts"
-        );
-        assert_eq!(exhaustive.stats().topk.heap_evictions, 0);
+        assert!(pruned.stats().heap_evictions > 0, "k=1 over 8 docs evicts");
+        assert_eq!(exhaustive.stats().heap_evictions, 0);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1357,6 +1338,38 @@ mod tests {
         assert_eq!(trace.fanout, 2);
         assert!(trace.total >= trace.collection);
         assert!(trace.candidates >= 2);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn ranked_single_keyword_trace_attributes_context_walk() {
+        let (store, dir) = temp_store("trace-ranked");
+        let index = Arc::new(SegmentedIndex::new());
+        for i in 0..20 {
+            ingest(
+                &store,
+                &index,
+                &format!("d{i}.txt"),
+                &format!("# Budget{i}\ntwo million dollars\n# Notes{i}\nmillion reasons\n"),
+            );
+        }
+        let eng = engine_with(
+            &store,
+            &index,
+            QueryEngineOptions {
+                cache_capacity: 0,
+                ..QueryEngineOptions::default()
+            },
+        );
+        let q = XdbQuery::content("million")
+            .with_rank(netmark_xdb::RankMode::Bm25)
+            .with_limit(5);
+        let (rs, trace) = eng.execute_traced(&q).unwrap();
+        assert_eq!(rs.hits.len(), 5);
+        assert!(trace.candidates >= 40);
+        // The fast path times the index probe and the store walk apart.
+        assert!(trace.index_lookup > Duration::ZERO);
+        assert!(trace.context_walk > Duration::ZERO);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

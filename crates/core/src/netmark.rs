@@ -7,7 +7,7 @@ use crate::store::{DocId, DocInfo, IngestReport, NodeStore};
 use netmark_docformats::upmark;
 use netmark_model::{Document, Node};
 use netmark_relstore::{Database, DbOptions, MvccStats, WalStats};
-use netmark_textindex::{CompactionPolicy, Compactor, IndexStats, InvertedIndex, SegmentedIndex};
+use netmark_textindex::{CompactionPolicy, Compactor, IndexStats, SegmentedIndex};
 use netmark_xdb::{ResultSet, XdbQuery};
 use netmark_xslt::Stylesheet;
 use parking_lot::{Mutex, RwLock};
@@ -109,9 +109,9 @@ pub struct NetMark {
     stylesheets: RwLock<HashMap<String, Stylesheet>>,
     /// Directory holding the segmented index (MANIFEST + `seg-*.seg`).
     index_dir: PathBuf,
-    /// Pre-segmentation single-file index path (`NMTXIDX1`) — read for
-    /// migration on open, deleted after the first segmented save.
-    legacy_index_path: PathBuf,
+    /// Sidecar file (`text.idx.gen`) holding the store generation the
+    /// saved text index reflects.
+    stamp_path: PathBuf,
     /// Background compaction thread; stopped and joined on drop.
     _compactor: Option<Compactor>,
     options: NetMarkOptions,
@@ -125,14 +125,6 @@ pub struct NetMark {
     ingest_lock: Mutex<()>,
 }
 
-/// Sidecar path holding the store generation the saved text index
-/// reflects.
-fn stamp_path(index_path: &Path) -> PathBuf {
-    let mut p = index_path.as_os_str().to_owned();
-    p.push(".gen");
-    PathBuf::from(p)
-}
-
 impl NetMark {
     /// Opens (or creates) a NETMARK instance in `dir`.
     pub fn open(dir: &Path) -> Result<NetMark> {
@@ -144,24 +136,18 @@ impl NetMark {
         let db = Database::open_with(dir, options.db.clone())?;
         let store = NodeStore::open(db)?;
         let index_dir = dir.join("text.idx.d");
-        let legacy_index_path = dir.join("text.idx");
+        let stamp_path = dir.join("text.idx.gen");
         // Load the persisted index only if its generation stamp matches the
         // store's: every committed ingest batch and removal bumps the META
         // generation, so equality proves the saved index reflects exactly
-        // this store state. The stamp file name predates segmentation, so
-        // one stamp covers both layouts. Load order: segmented directory,
-        // then the legacy single-file format (migrated in memory), then a
-        // rebuild from the store (missing/corrupt index, stamp mismatch —
-        // e.g. a crash after commit but before flush).
-        let stamped_gen: Option<i64> = std::fs::read_to_string(stamp_path(&legacy_index_path))
+        // this store state. Anything else — a missing, corrupt or
+        // other-format index, or a stamp mismatch (e.g. a crash after commit
+        // but before flush) — rebuilds the index from the store.
+        let stamped_gen: Option<i64> = std::fs::read_to_string(&stamp_path)
             .ok()
             .and_then(|s| s.trim().parse().ok());
         let persisted = if stamped_gen == Some(store.generation()) {
-            SegmentedIndex::load_with(&index_dir, options.index_compaction.clone()).or_else(|| {
-                InvertedIndex::load(&legacy_index_path).map(|ix| {
-                    SegmentedIndex::from_legacy_with(ix, options.index_compaction.clone())
-                })
-            })
+            SegmentedIndex::load_with(&index_dir, options.index_compaction.clone())
         } else {
             None
         };
@@ -192,7 +178,7 @@ impl NetMark {
             engine,
             stylesheets: RwLock::new(HashMap::new()),
             index_dir,
-            legacy_index_path,
+            stamp_path,
             _compactor: compactor,
             options,
             metrics: IngestMetrics::default(),
@@ -405,14 +391,8 @@ impl NetMark {
             self.index
                 .save(&self.index_dir)
                 .map_err(netmark_relstore::StoreError::Io)?;
-            std::fs::write(
-                stamp_path(&self.legacy_index_path),
-                self.store.generation().to_string(),
-            )
-            .map_err(netmark_relstore::StoreError::Io)?;
-            // The segmented directory supersedes the single-file format;
-            // drop the stale copy once the new layout is durable.
-            let _ = std::fs::remove_file(&self.legacy_index_path);
+            std::fs::write(&self.stamp_path, self.store.generation().to_string())
+                .map_err(netmark_relstore::StoreError::Io)?;
         }
         self.store.database().checkpoint()?;
         Ok(())
@@ -573,51 +553,45 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    #[test]
-    fn reopen_without_index_file_rebuilds() {
-        let dir = std::env::temp_dir().join(format!("netmark-nm-rebuild-{}", std::process::id()));
+    /// Flushes the samples, applies `damage` to the saved index, reopens
+    /// and checks the index was rebuilt from the store with every answer
+    /// intact.
+    fn reopen_rebuilds_after(tag: &str, damage: impl Fn(&Path)) {
+        let dir =
+            std::env::temp_dir().join(format!("netmark-nm-rebuild-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         {
             let nm = NetMark::open(&dir).unwrap();
             load_samples(&nm);
             nm.flush().unwrap();
         }
-        std::fs::remove_dir_all(dir.join("text.idx.d")).unwrap();
+        damage(&dir.join("text.idx.d"));
         let nm = NetMark::open(&dir).unwrap();
+        assert_eq!(nm.stats().unwrap().index.seals, 1, "{tag}: rebuilt");
         assert_eq!(nm.query(&XdbQuery::content("shuttle")).unwrap().len(), 1);
+        assert_eq!(nm.query(&XdbQuery::context("Budget")).unwrap().len(), 2);
+        drop(nm);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    fn legacy_single_file_index_migrates_on_open() {
-        let dir = std::env::temp_dir().join(format!("netmark-nm-legacy-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        {
-            let nm = NetMark::open(&dir).unwrap();
-            load_samples(&nm);
-            // Simulate a pre-segmentation install: write the NMTXIDX1
-            // single file + stamp, with no segmented directory.
-            let mut legacy = netmark_textindex::InvertedIndex::new();
-            for (id, text) in nm.store().all_text_entries().unwrap() {
-                legacy.add(id, &text);
+    fn reopen_without_index_file_rebuilds() {
+        reopen_rebuilds_after("missing", |index_dir| {
+            std::fs::remove_dir_all(index_dir).unwrap()
+        });
+        // A stamped index whose segment files carry the tag of the retired
+        // block-carrying version 3 format is not loaded but rebuilt.
+        reopen_rebuilds_after("retagged", |index_dir| {
+            for entry in std::fs::read_dir(index_dir).unwrap() {
+                let path = entry.unwrap().path();
+                if path.extension().is_some_and(|e| e == "seg") {
+                    let mut bytes = std::fs::read(&path).unwrap();
+                    assert_eq!(&bytes[..8], b"NMTXSEG2");
+                    bytes[7] = b'3';
+                    std::fs::write(&path, bytes).unwrap();
+                }
             }
-            legacy.save(&dir.join("text.idx")).unwrap();
-            std::fs::write(
-                dir.join("text.idx.gen"),
-                nm.store().generation().to_string(),
-            )
-            .unwrap();
-        }
-        assert!(!dir.join("text.idx.d").exists());
-        let nm = NetMark::open(&dir).unwrap();
-        assert_eq!(nm.query(&XdbQuery::content("shuttle")).unwrap().len(), 1);
-        assert_eq!(nm.query(&XdbQuery::context("Budget")).unwrap().len(), 2);
-        // The next flush moves the on-disk layout over to segments and
-        // retires the single file.
-        nm.flush().unwrap();
-        assert!(dir.join("text.idx.d").join("MANIFEST").exists());
-        assert!(!dir.join("text.idx").exists());
-        std::fs::remove_dir_all(&dir).unwrap();
+        });
     }
 
     #[test]

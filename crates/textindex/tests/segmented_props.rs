@@ -1,8 +1,9 @@
 //! Property tests: the segmented index against the reference single-map
 //! model, over random interleavings of writer and maintenance operations,
-//! plus a query-consistency check while compaction runs concurrently.
+//! a query-consistency check while compaction runs concurrently, and the
+//! posting-list codec over arbitrary doc-id gaps.
 
-use netmark_textindex::{CompactionPolicy, InvertedIndex, SegmentedIndex, TextQuery};
+use netmark_textindex::{CompactionPolicy, InvertedIndex, PostingList, SegmentedIndex, TextQuery};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -169,13 +170,60 @@ proptest! {
             prop_assert!(got == want, "query {:?} diverges: {:?} vs {:?}", q, got, want);
         }
         for probe in ["alpha beta", "engine", "budget million"] {
-            prop_assert_eq!(seg.search_ranked(probe), oracle.search_ranked(probe));
             // BM25 scores are a global function of the snapshot's integer
             // corpus stats, so they are bit-identical no matter how the
             // history was segmented, compacted, or reloaded.
             prop_assert_eq!(seg.search_bm25(probe), oracle.search_bm25(probe));
         }
     }
+
+    /// The posting codec round-trips arbitrary doc-id gap distributions:
+    /// dense runs, sparse 2^40-scale jumps and long lists.
+    #[test]
+    fn posting_codec_round_trips_arbitrary_gaps(
+        gaps in proptest::collection::vec((1u64..(1u64 << 40), 1usize..5), 1..400),
+        first_pos in 0u32..1000,
+    ) {
+        let mut pl = PostingList::new();
+        let mut id = 0u64;
+        let mut expect: Vec<(u64, Vec<u32>)> = Vec::new();
+        for (i, (gap, ntf)) in gaps.iter().enumerate() {
+            id += gap;
+            let positions: Vec<u32> = (0..*ntf as u32)
+                .map(|j| first_pos + i as u32 + j * 7)
+                .collect();
+            prop_assert!(pl.push(id, &positions));
+            expect.push((id, positions));
+        }
+        let mut buf = Vec::new();
+        pl.serialize(&mut buf);
+        let mut pos = 0usize;
+        let back = PostingList::deserialize(&buf, &mut pos).expect("round trip");
+        prop_assert!(pos == buf.len(), "trailing bytes after decode");
+        prop_assert_eq!(&back, &pl);
+        let decoded: Vec<(u64, Vec<u32>)> =
+            back.iter().map(|p| (p.id, p.positions)).collect();
+        prop_assert_eq!(decoded, expect);
+    }
+}
+
+/// Extreme id gaps near the u64 ceiling round-trip exactly: the delta
+/// coder must not overflow on a list whose last id is `u64::MAX`.
+#[test]
+fn posting_codec_handles_u64_extremes() {
+    let mut pl = PostingList::new();
+    assert!(pl.push(5, &[1, 9]));
+    assert!(pl.push(u64::MAX - 1, &[3]));
+    assert!(pl.push(u64::MAX, &[2, 4, 6]));
+    let mut buf = Vec::new();
+    pl.serialize(&mut buf);
+    let mut pos = 0usize;
+    let back = PostingList::deserialize(&buf, &mut pos).expect("decode");
+    assert_eq!(pos, buf.len());
+    assert_eq!(back, pl);
+    assert_eq!(back.ids(), vec![5, u64::MAX - 1, u64::MAX]);
+    let last = back.iter().last().expect("three postings");
+    assert_eq!(last.positions, vec![2, 4, 6]);
 }
 
 /// Readers racing a compaction storm must observe identical results
@@ -205,6 +253,9 @@ fn queries_stable_during_concurrent_compaction() {
 
     let battery = query_battery();
     let expected: Vec<Vec<u64>> = battery.iter().map(|q| seg.execute(q)).collect();
+    let probes = ["alpha beta", "engine shuttle budget", "alpha alpha risk"];
+    let ranked: Vec<Vec<(u64, f64)>> = probes.iter().map(|p| seg.search_bm25(p)).collect();
+    assert!(ranked.iter().any(|hits| !hits.is_empty()));
 
     std::thread::scope(|scope| {
         let compactor = scope.spawn(|| {
@@ -218,6 +269,12 @@ fn queries_stable_during_concurrent_compaction() {
                         for (q, want) in battery.iter().zip(&expected) {
                             let got = seg.execute(q);
                             assert_eq!(&got, want, "query {q:?} changed under compaction");
+                        }
+                        // BM25 scores are a function of the live documents
+                        // only, so compaction must not move a single bit.
+                        for (p, want) in probes.iter().zip(&ranked) {
+                            let got = seg.search_bm25(p);
+                            assert_eq!(&got, want, "probe {p:?} changed under compaction");
                         }
                     }
                 })
@@ -233,6 +290,9 @@ fn queries_stable_during_concurrent_compaction() {
     // Post-compaction state still matches, and tombstones were purged.
     for (q, want) in battery.iter().zip(&expected) {
         assert_eq!(&seg.execute(q), want);
+    }
+    for (p, want) in probes.iter().zip(&ranked) {
+        assert_eq!(&seg.search_bm25(p), want);
     }
     assert_eq!(
         seg.stats().tombstones,

@@ -319,7 +319,7 @@ mod xml_props {
 
 mod index_props {
     use super::*;
-    use netmark_textindex::{query_terms, tokenize_text, InvertedIndex, TextQuery};
+    use netmark_textindex::{query_terms, tokenize_text, InvertedIndex, SegmentedIndex, TextQuery};
 
     proptest! {
         /// Token positions ascend strictly; terms are lowercase.
@@ -364,16 +364,14 @@ mod index_props {
         /// Save/load is the identity on query results.
         #[test]
         fn index_persistence(texts in proptest::collection::vec("[a-z ]{1,40}", 1..12)) {
-            let mut ix = InvertedIndex::new();
+            let ix = SegmentedIndex::new();
             for (i, t) in texts.iter().enumerate() {
                 ix.add(i as u64 + 1, t);
             }
             let dir = std::env::temp_dir().join(format!(
                 "netmark-prop-ix-{}-{}", std::process::id(), rand::random::<u64>()));
-            std::fs::create_dir_all(&dir).unwrap();
-            let path = dir.join("ix.bin");
-            ix.save(&path).unwrap();
-            let back = InvertedIndex::load(&path).unwrap();
+            ix.save(&dir).unwrap();
+            let back = SegmentedIndex::load(&dir).unwrap();
             for t in &texts {
                 for term in query_terms(t) {
                     let q = TextQuery::Term(term);
